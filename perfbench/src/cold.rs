@@ -7,7 +7,7 @@
 use crate::check;
 use crate::gen::{self, Reweight};
 use crate::report::{self, Outcome};
-use crate::stats::{median, Tail};
+use crate::stats::{self, median};
 use crate::trace::Recorder;
 use pvc_core::{obs, CacheConfig, Compiler, DTreeArena, SharedArtifacts};
 use pvc_db::{
@@ -79,8 +79,11 @@ pub fn tpch_cold() -> ColdWorkload {
     }
 }
 
-/// Times `setup` this many times; the median is `setup_s`.
-const SETUP_REPEATS: usize = 31;
+/// The percentile of read and write latency the cold workloads report. One
+/// operation runs at a time, and the host's slow stretches, which come in
+/// every run, set the high percentiles; the low ones depend on whether a run
+/// met a fast stretch.
+const REFERENCE_PERCENTILE: f64 = 95.0;
 
 /// What one operation did.
 struct OpRecord {
@@ -141,14 +144,22 @@ impl References {
     }
 }
 
-/// Run one operation; `Err` when the engine refused any call.
+/// One set-up: generate the workload's database from the seed and start an
+/// engine over it. Returns the engine and how long that took.
+fn setup(workload: &ColdWorkload, seed: u64) -> (Engine, f64) {
+    let start = Instant::now();
+    let engine = Engine::new((workload.database)(seed));
+    (engine, start.elapsed().as_secs_f64())
+}
+
+/// Run one operation on `engine`, fresh from [`setup`]; `Err` when the
+/// engine refused any call.
 fn run_op(
-    base: &Database,
+    mut engine: Engine,
     op: &ColdOp,
     mut rec: Option<(&mut Recorder, u64)>,
 ) -> Result<(OpRecord, Vec<Vec<ProbTuple>>), pvc_db::Error> {
     let options = EvalOptions::default().with_threads(1);
-    let db = base.clone();
     let span = |rec: &mut Option<(&mut Recorder, u64)>, name: &'static str| {
         rec.as_mut().map(|(r, id)| r.begin(name, *id))
     };
@@ -159,9 +170,6 @@ fn run_op(
     };
     let op_span = span(&mut rec, "op");
     let start = Instant::now();
-    let s = span(&mut rec, "engine.new");
-    let mut engine = Engine::new(db);
-    end(&mut rec, s);
     let mut answers = Vec::with_capacity(op.reads.len());
     let (mut rewrite_s, mut step2_s) = (0.0, 0.0);
     for q in &op.reads {
@@ -200,6 +208,8 @@ fn run_op(
 
 /// Operations of one timed window.
 struct Window {
+    /// Set-up time before each operation.
+    setups: Vec<f64>,
     records: Vec<OpRecord>,
     ops: Vec<ColdOp>,
     attempted: u64,
@@ -209,14 +219,19 @@ struct Window {
     wrong: Option<String>,
 }
 
+/// Run operations until their reads and writes have taken `seconds`. Each
+/// operation starts with a set-up of its own, timed apart from it, so that
+/// `setup_s` samples the host over the whole window like the reads do.
 fn run_window(
-    base: &Database,
+    workload: &ColdWorkload,
+    seed: u64,
     ops: &mut dyn Iterator<Item = ColdOp>,
     seconds: f64,
     refs: &References,
     mut rec: Option<&mut Recorder>,
 ) -> Window {
     let mut window = Window {
+        setups: Vec::new(),
         records: Vec::new(),
         ops: Vec::new(),
         attempted: 0,
@@ -233,9 +248,11 @@ fn run_window(
         // see the same mix and their medians give the tracing overhead.
         let traced = rec.as_deref_mut().filter(|_| id % 2 == 1).map(|r| (r, id));
         let tracing = traced.is_some();
+        let (engine, setup_s) = setup(workload, seed);
+        window.setups.push(setup_s);
         obs::set_metrics_enabled(tracing);
         let attempt = Instant::now();
-        let result = run_op(base, &op, traced);
+        let result = run_op(engine, &op, traced);
         obs::set_metrics_enabled(false);
         match result {
             Ok((mut record, answers)) => {
@@ -281,40 +298,16 @@ fn check_op(
     Ok(())
 }
 
-/// Median set-up time: data generation plus engine start. Returns the base
-/// database of the run.
-fn setup(workload: &ColdWorkload, seed: u64) -> (Database, f64) {
-    let mut times = Vec::with_capacity(SETUP_REPEATS);
-    let mut base = None;
-    for _ in 0..SETUP_REPEATS {
-        let start = Instant::now();
-        let db = (workload.database)(seed);
-        let generated = start.elapsed();
-        let copy = db.clone();
-        let start = Instant::now();
-        let engine = Engine::new(db);
-        let started = start.elapsed();
-        drop(engine);
-        times.push((generated + started).as_secs_f64());
-        base = Some(copy);
-    }
-    (base.expect("set-up ran"), median(&times))
-}
-
 fn window_summary(out: &mut Outcome, window: &Window) {
     let reads: Vec<f64> = window.records.iter().map(|r| r.read_s).collect();
     let writes: Vec<f64> = window.records.iter().map(|r| r.write_s).collect();
     let busy: f64 = reads.iter().chain(&writes).sum();
-    out.metric("throughput_qps", reads.len() as f64 / busy.max(1e-12));
-    out.metric("query_p50_s", median(&reads));
-    out.metric("write_p50_s", median(&writes));
-    let tail = Tail::of(&reads);
-    out.metric("query_tail_s", tail.map_or(f64::NAN, |t| t.value));
-    out.context("query_tail_s", tail.map_or("null".into(), |t| t.json()));
     out.context(
-        "write_tail_s",
-        Tail::of(&writes).map_or("null".into(), |t| t.json()),
+        "throughput_qps",
+        (reads.len() as f64 / busy.max(1e-12)).to_string(),
     );
+    report::latencies(out, &reads, &writes, REFERENCE_PERCENTILE);
+    out.context("setup_shape_s", stats::shape_json(&window.setups));
 }
 
 /// The workload's references; `None`, after reporting why, when the
@@ -328,13 +321,13 @@ fn references(workload: &ColdWorkload, base: &Database) -> Option<References> {
 /// Run a cold workload untraced: every end-to-end metric.
 pub fn run(workload: &ColdWorkload, seed: u64, seconds: f64) -> Outcome {
     let mut out = Outcome::default();
-    let (base, setup_s) = setup(workload, seed);
+    let base = (workload.database)(seed);
     let Some(refs) = references(workload, &base) else {
         return out;
     };
     let mut ops = (workload.ops)(seed);
-    let window = run_window(&base, &mut *ops, seconds, &refs, None);
-    out.metric("setup_s", setup_s);
+    let window = run_window(workload, seed, &mut *ops, seconds, &refs, None);
+    out.metric("setup_s", median(&window.setups));
     window_summary(&mut out, &window);
     out.metric("peak_rss_mb", report::peak_rss_mb());
     finish(&mut out, workload, seed, &refs, &window);
@@ -470,7 +463,7 @@ const REPLAY_LAYERS: [&str; 5] = ["exec", "intern", "compile", "flatten", "eval"
 /// metric, each a mean per traced operation.
 pub fn run_traced(workload: &ColdWorkload, seed: u64, seconds: f64) -> Outcome {
     let mut out = Outcome::default();
-    let (base, _) = setup(workload, seed);
+    let base = (workload.database)(seed);
     let Some(refs) = references(workload, &base) else {
         return out;
     };
@@ -478,7 +471,7 @@ pub fn run_traced(workload: &ColdWorkload, seed: u64, seconds: f64) -> Outcome {
     let epoch = Instant::now();
     let mut rec = Recorder::new(epoch);
     obs::reset();
-    let window = run_window(&base, &mut *ops, seconds, &refs, Some(&mut rec));
+    let window = run_window(workload, seed, &mut *ops, seconds, &refs, Some(&mut rec));
     let snap = obs::snapshot();
     let traced: Vec<(&OpRecord, &ColdOp)> = window
         .records

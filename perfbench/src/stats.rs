@@ -12,6 +12,29 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
+/// Nearest-rank `p`-th percentile (`0 < p <= 100`) of a sample; `NaN` for
+/// an empty sample.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let sorted = sorted(samples);
+    let rank = ((p / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(f64::NAN)
+}
+
+/// The shape of a sample, as context JSON: extremes, low and high
+/// percentiles, the median and the mean.
+pub fn shape_json(samples: &[f64]) -> String {
+    let mean = samples.iter().sum::<f64>() / samples.len().max(1) as f64;
+    format!(
+        "{{\"min\": {}, \"p10\": {}, \"p50\": {}, \"p90\": {}, \"max\": {}, \"mean\": {mean}, \"samples\": {}}}",
+        percentile(samples, 0.0),
+        percentile(samples, 10.0),
+        percentile(samples, 50.0),
+        percentile(samples, 90.0),
+        percentile(samples, 100.0),
+        samples.len(),
+    )
+}
+
 /// The tail of a latency sample: the highest nearest-rank percentile that
 /// still has at least [`Tail::MIN_BEYOND`] samples above it.
 ///
@@ -102,6 +125,17 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert!(median(&[]).is_nan());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let samples: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        assert_eq!(percentile(&samples, 90.0), 18.0);
+        assert_eq!(percentile(&samples, 50.0), 10.0);
+        assert_eq!(percentile(&samples, 0.0), 1.0);
+        assert_eq!(percentile(&samples, 100.0), 20.0);
+        assert_eq!(percentile(&[7.0], 90.0), 7.0);
+        assert!(percentile(&[], 90.0).is_nan());
     }
 
     #[test]
